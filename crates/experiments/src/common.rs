@@ -378,21 +378,6 @@ impl BaselineSet {
     }
 }
 
-/// Runs one benchmark under `baseline_cfg` and `variant_cfg` with
-/// independently constructed controllers and compares them.
-pub fn compare_runs(
-    wl: &WorkloadConfig,
-    baseline_cfg: PipelineConfig,
-    variant_cfg: PipelineConfig,
-    mk_baseline: impl FnOnce() -> Controller,
-    mk_variant: impl FnOnce() -> Controller,
-    scale: Scale,
-) -> (GatingOutcome, SimStats, SimStats) {
-    let base = run_pipeline(wl, baseline_cfg, mk_baseline(), scale);
-    let var = run_pipeline(wl, variant_cfg, mk_variant(), scale);
-    (outcome(&base, &var), base, var)
-}
-
 /// Runs one benchmark through the pipeline at the given scale.
 #[must_use]
 pub fn run_pipeline(
@@ -412,134 +397,67 @@ pub fn run_pipeline(
     sim.run(scale.run_uops).clone()
 }
 
+/// A fresh simulation attached to the process-wide tracer and
+/// profiler.
+fn observed_sim(cfg: PipelineConfig, wl: &WorkloadConfig, ctl: Controller) -> Simulation {
+    let mut sim = Simulation::new(cfg, wl, ctl);
+    sim.set_tracer(tracer_handle());
+    sim.set_profiler(profiler().clone());
+    sim
+}
+
 /// Phases a checkpointed pipeline run moves through, recorded in the
 /// mid-run snapshot so a resume knows where it was.
 const PHASE_WARMUP: u64 = 0;
 const PHASE_RUN: u64 = 1;
 
-/// Like [`run_pipeline`], but snapshotting the entire simulation into
-/// `cell` every `interval` retired uops, and resuming from whatever
-/// the cell last stored.
-///
-/// The run is bit-identical to an uninterrupted [`run_pipeline`] of
-/// the same workload and scale: the snapshot captures the full machine
-/// (workload cursor, predictor/estimator, caches, ROB, stats), so a
-/// cell killed at any point and re-entered through this function
-/// produces the same final stats and state digest. A checkpoint that
-/// fails integrity checks or was taken under a different pipeline
-/// configuration is discarded and the run starts from scratch.
-///
-/// `mk_ctl` builds the controller — called once for the initial
-/// simulation and again if a bad checkpoint forces a rebuild.
-///
-/// Returns the finished [`Simulation`] so callers can read both the
-/// stats and the final state digest.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the underlying simulation instead of
-/// panicking, so runner cells can record it as a typed failure.
-pub fn run_pipeline_checkpointed(
-    wl: &WorkloadConfig,
-    cfg: PipelineConfig,
-    mk_ctl: impl Fn() -> Controller,
-    scale: Scale,
-    cell: &CheckpointCell,
-    interval: u64,
-) -> Result<Simulation, SimError> {
-    let interval = interval.max(1);
-    let mut sim = Simulation::new(cfg, wl, mk_ctl());
-    sim.set_tracer(tracer_handle());
-    sim.set_profiler(profiler().clone());
-    let mut phase = PHASE_WARMUP;
-    if let Some(saved) = cell.load() {
-        let restored = (|| -> Result<u64, String> {
-            let p: u64 = serde::field(&saved, "phase").map_err(|e| e.to_string())?;
-            let state = saved
-                .get("sim")
-                .ok_or_else(|| "checkpoint missing `sim`".to_owned())?;
-            sim.restore_state(state).map_err(|e| e.to_string())?;
-            Ok(p)
-        })();
-        match restored {
-            Ok(p) => phase = p,
-            Err(e) => {
-                // A restore can die partway and leave mixed state;
-                // rebuild rather than trust it.
-                eprintln!("warning: discarding unusable mid-run checkpoint: {e}");
-                sim = Simulation::new(cfg, wl, mk_ctl());
-                sim.set_tracer(tracer_handle());
-                sim.set_profiler(profiler().clone());
-            }
-        }
-    }
-    let checkpoint = |sim: &Simulation, phase: u64| {
-        if tracer().enabled() {
-            tracer().record(TraceEvent::CheckpointWrite {
-                retired: sim.stats().retired,
-                phase,
-            });
-        }
-        let _s = profiler().scope("phase/checkpoint");
-        cell.store(&Value::Object(vec![
-            ("phase".into(), Value::UInt(phase)),
-            ("sim".into(), sim.save_state()),
-        ]));
-    };
-    if phase == PHASE_WARMUP {
-        let _s = profiler().scope("phase/warmup");
-        while sim.stats().retired < scale.warmup_uops {
-            let chunk = interval.min(scale.warmup_uops - sim.stats().retired);
-            sim.try_run(chunk)?;
-            checkpoint(&sim, PHASE_WARMUP);
-        }
-        // Ends the warmup phase: resets stats (uops argument is 0).
-        sim.try_warmup(0)?;
-        checkpoint(&sim, PHASE_RUN);
-    }
-    {
-        let _s = profiler().scope("phase/run");
-        while sim.stats().retired < scale.run_uops {
-            let chunk = interval.min(scale.run_uops - sim.stats().retired);
-            sim.try_run(chunk)?;
-            if sim.stats().retired < scale.run_uops {
-                checkpoint(&sim, PHASE_RUN);
-            }
-        }
-    }
-    cell.clear();
-    Ok(sim)
+/// Restores `sim` from a stored `{phase, sim}` checkpoint and returns
+/// the phase it was taken in.
+fn restore_checkpoint(sim: &mut Simulation, saved: &Value) -> Result<u64, String> {
+    let phase: u64 = serde::field(saved, "phase").map_err(|e| e.to_string())?;
+    let state = saved
+        .get("sim")
+        .ok_or_else(|| "checkpoint missing `sim`".to_owned())?;
+    sim.restore_state(state).map_err(|e| e.to_string())?;
+    Ok(phase)
 }
 
-/// One member of a batched checkpointed pipeline run: the workload,
-/// its controller factory, and the checkpoint cell that persists its
+/// One member of a checkpointed pipeline run: the workload, its
+/// controller factory, and the checkpoint cell that persists its
 /// mid-run state (pass [`CheckpointCell::disabled`] for none).
 pub struct BatchMember<'a> {
     /// Workload to simulate.
     pub wl: &'a WorkloadConfig,
     /// Controller factory — called once up front and again if a bad
-    /// checkpoint forces a rebuild (same contract as `mk_ctl` on
-    /// [`run_pipeline_checkpointed`]).
+    /// checkpoint forces a rebuild.
     pub mk_ctl: Box<dyn Fn() -> Controller + 'a>,
     /// Per-member mid-run checkpoint store.
     pub cell: &'a CheckpointCell,
 }
 
-/// Batched [`run_pipeline_checkpointed`]: advances every member
-/// through one interleaved cycle loop ([`BatchSim`]), while each
-/// member's phase transitions, checkpoint boundaries, and stored
-/// checkpoint bytes replicate the sequential function exactly.
+/// The checkpointed pipeline driver: like [`run_pipeline`] for every
+/// member, advanced through one interleaved cycle loop ([`BatchSim`]),
+/// snapshotting each member into its `cell` every `interval` retired
+/// uops and resuming from whatever the cell last stored. A sequential
+/// run is a one-member call.
+///
+/// A member's snapshot captures the full machine (workload cursor,
+/// predictor/estimator, caches, ROB, stats) tagged with its
+/// warmup/run phase. A checkpoint that fails integrity checks or was
+/// taken under a different pipeline configuration is discarded and
+/// the member starts from scratch. A member whose cell does not
+/// persist builds no snapshot at all.
 ///
 /// # Determinism contract
 ///
-/// Member `i`'s final stats, state digest, and every intermediate
-/// checkpoint it stores are byte-identical to
-/// `run_pipeline_checkpointed(members[i].wl, cfg, …, scale,
-/// members[i].cell, interval)` run alone — for every batch width and
-/// member order, with faults injected and counters/tracing enabled.
-/// In particular a batch killed mid-flight leaves per-member `.part`
-/// checkpoints a *sequential* resume can continue from, and vice
-/// versa.
+/// Member `i`'s final stats, state digest, and counters are
+/// byte-identical to an uninterrupted [`run_pipeline`] of the same
+/// workload and scale — for every batch width, member order, and
+/// checkpoint interval, with faults injected and counters/tracing
+/// enabled, and whether or not it was killed and resumed. A member's
+/// stored checkpoints depend only on its own run, so a batch killed
+/// mid-flight leaves per-member `.part` checkpoints that a run of any
+/// width can continue.
 ///
 /// Errors are isolated per member: a member that stalls or breaks an
 /// invariant carries `Err` in its slot while the rest run to
@@ -555,26 +473,16 @@ pub fn run_pipeline_checkpointed_batch(
     let mut phases = Vec::with_capacity(n);
     let mut sims = Vec::with_capacity(n);
     for m in members {
-        let mut sim = Simulation::new(cfg, m.wl, (m.mk_ctl)());
-        sim.set_tracer(tracer_handle());
-        sim.set_profiler(profiler().clone());
+        let mut sim = observed_sim(cfg, m.wl, (m.mk_ctl)());
         let mut phase = PHASE_WARMUP;
         if let Some(saved) = m.cell.load() {
-            let restored = (|| -> Result<u64, String> {
-                let p: u64 = serde::field(&saved, "phase").map_err(|e| e.to_string())?;
-                let state = saved
-                    .get("sim")
-                    .ok_or_else(|| "checkpoint missing `sim`".to_owned())?;
-                sim.restore_state(state).map_err(|e| e.to_string())?;
-                Ok(p)
-            })();
-            match restored {
+            match restore_checkpoint(&mut sim, &saved) {
                 Ok(p) => phase = p,
                 Err(e) => {
+                    // A restore can die partway and leave mixed state;
+                    // rebuild rather than trust it.
                     eprintln!("warning: discarding unusable mid-run checkpoint: {e}");
-                    sim = Simulation::new(cfg, m.wl, (m.mk_ctl)());
-                    sim.set_tracer(tracer_handle());
-                    sim.set_profiler(profiler().clone());
+                    sim = observed_sim(cfg, m.wl, (m.mk_ctl)());
                 }
             }
         }
@@ -582,6 +490,11 @@ pub fn run_pipeline_checkpointed_batch(
         sims.push(sim);
     }
     let checkpoint = |sim: &Simulation, cell: &CheckpointCell, phase: u64| {
+        // Nothing would keep a snapshot of a cell that does not
+        // persist, so none is built.
+        if cell.path().is_none() {
+            return;
+        }
         if tracer().enabled() {
             tracer().record(TraceEvent::CheckpointWrite {
                 retired: sim.stats().retired,
@@ -599,30 +512,31 @@ pub fn run_pipeline_checkpointed_batch(
     let mut done = vec![false; n];
     loop {
         // One interleaved leg: each live member advances by its next
-        // chunk — the same `interval.min(remaining)` the sequential
-        // loop computes — then checkpoints at the same boundary.
+        // chunk, `interval.min(remaining)` of its current phase, then
+        // checkpoints at that boundary.
+        let live: Vec<usize> = (0..n)
+            .filter(|&i| !done[i] && outcome[i].is_none())
+            .collect();
         let mut uops = vec![0u64; n];
-        for i in 0..n {
-            if done[i] || outcome[i].is_some() {
-                continue;
-            }
-            let retired = batch.get(i).stats().retired;
+        for &i in &live {
             let target = if phases[i] == PHASE_WARMUP {
                 scale.warmup_uops
             } else {
                 scale.run_uops
             };
-            uops[i] = interval.min(target.saturating_sub(retired));
+            uops[i] = interval.min(target.saturating_sub(batch.get(i).stats().retired));
         }
-        let mut progressed = false;
         let results = {
-            let _s = profiler().scope("phase/batch_run");
+            let phase = if live.iter().all(|&i| phases[i] == PHASE_WARMUP) {
+                "phase/warmup"
+            } else {
+                "phase/run"
+            };
+            let _s = profiler().scope(phase);
             batch.try_run_each(&uops)
         };
-        for i in 0..n {
-            if done[i] || outcome[i].is_some() {
-                continue;
-            }
+        let mut progressed = false;
+        for &i in &live {
             if let Err(e) = &results[i] {
                 outcome[i] = Some(*e);
                 continue;
@@ -631,9 +545,8 @@ pub fn run_pipeline_checkpointed_batch(
             let m = &members[i];
             if phases[i] == PHASE_WARMUP {
                 // A zero-size leg (member restored at or past its
-                // warmup target) stores nothing — the sequential loop
-                // never runs a zero chunk — but still owes the phase
-                // transition below.
+                // warmup target) stores nothing but still owes the
+                // phase transition below.
                 if uops[i] > 0 {
                     checkpoint(batch.get(i), m.cell, PHASE_WARMUP);
                 }
@@ -736,6 +649,25 @@ mod tests {
         assert_eq!(perceptron_tnt(30).storage_bits(), 128 * 33 * 8);
     }
 
+    /// A one-member call of the checkpointed driver.
+    fn run_checkpointed(
+        wl: &WorkloadConfig,
+        cfg: PipelineConfig,
+        mk_ctl: impl Fn() -> Controller,
+        scale: Scale,
+        cell: &CheckpointCell,
+        interval: u64,
+    ) -> Result<Simulation, SimError> {
+        let member = BatchMember {
+            wl,
+            mk_ctl: Box::new(mk_ctl),
+            cell,
+        };
+        run_pipeline_checkpointed_batch(std::slice::from_ref(&member), cfg, scale, interval)
+            .pop()
+            .expect("one member in, one result out")
+    }
+
     fn tmp_cell(tag: &str) -> (std::path::PathBuf, CheckpointCell) {
         let dir =
             std::env::temp_dir().join(format!("perconf-common-chk-{tag}-{}", std::process::id()));
@@ -752,7 +684,7 @@ mod tests {
         let mk = || controller(PredictorKind::BimodalGshare, perceptron(14));
         let plain = run_pipeline(&wl, cfg, mk(), scale);
         let (dir, cell) = tmp_cell("match");
-        let sim = run_pipeline_checkpointed(&wl, cfg, mk, scale, &cell, 7_000).unwrap();
+        let sim = run_checkpointed(&wl, cfg, mk, scale, &cell, 7_000).unwrap();
         assert_eq!(sim.stats(), &plain, "chunked run must be bit-identical");
         assert!(
             cell.path().is_none_or(|p| !p.exists()),
@@ -770,7 +702,7 @@ mod tests {
 
         // Reference: one uninterrupted checkpointed run.
         let (dir_a, cell_a) = tmp_cell("ref");
-        let reference = run_pipeline_checkpointed(&wl, cfg, mk, scale, &cell_a, 9_000).unwrap();
+        let reference = run_checkpointed(&wl, cfg, mk, scale, &cell_a, 9_000).unwrap();
 
         // "Killed" run: advance part-way through the measured phase,
         // store a mid-run checkpoint exactly as the driver does, then
@@ -785,7 +717,7 @@ mod tests {
                 ("sim".into(), sim.save_state()),
             ]));
         }
-        let resumed = run_pipeline_checkpointed(&wl, cfg, mk, scale, &cell_b, 9_000).unwrap();
+        let resumed = run_checkpointed(&wl, cfg, mk, scale, &cell_b, 9_000).unwrap();
         assert_eq!(resumed.stats(), reference.stats());
         assert_eq!(resumed.state_digest(), reference.state_digest());
         let _ = std::fs::remove_dir_all(&dir_a);
@@ -814,7 +746,7 @@ mod tests {
             ]),
         )
         .unwrap();
-        let sim = run_pipeline_checkpointed(&wl, cfg, mk, scale, &cell, 11_000).unwrap();
+        let sim = run_checkpointed(&wl, cfg, mk, scale, &cell, 11_000).unwrap();
         assert_eq!(sim.stats(), &plain);
         let _ = std::fs::remove_dir_all(&dir);
     }

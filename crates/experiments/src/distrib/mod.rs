@@ -1,8 +1,9 @@
 //! Distributed sweep execution: a filesystem queue, lease-based work
 //! claiming across worker *processes*, and a deterministic merge.
 //!
-//! The single-process sweep ([`faults::run_grid`](crate::faults::run_grid))
-//! fans cells across threads; this module fans the same cells across
+//! The single-process sweep
+//! ([`faults::run_grid_batched`](crate::faults::run_grid_batched)) fans
+//! cells across threads; this module fans the same cells across
 //! OS processes — possibly on a shared filesystem — while preserving
 //! the project's determinism contract: **the merged output of a sweep
 //! is byte-identical whether it ran in 1 process, N processes, or N

@@ -30,10 +30,8 @@
 //! randomness derives from [`cell_seed`] — a pure function of the
 //! campaign seed and the cell coordinates, never of scheduling order.
 
-use crate::common::{
-    run_pipeline_checkpointed, run_pipeline_checkpointed_batch, trace_eval, BatchMember, Scale,
-};
-use crate::runner::{BatchSpec, CellSpec, CellTiming, CheckpointCell, Scheduler};
+use crate::common::{run_pipeline_checkpointed_batch, trace_eval, BatchMember, Scale};
+use crate::runner::{BatchSpec, CellTiming, CheckpointCell, Scheduler};
 use perconf_bpred::{baseline_bimodal_gshare, SimPredictor};
 use perconf_core::{
     JrsConfig, JrsEstimator, PerceptronCe, PerceptronCeConfig, SimEstimator, SpeculationController,
@@ -58,7 +56,7 @@ pub const ESTIMATORS: [&str; 2] = ["perceptron", "jrs"];
 
 /// The (estimator × benchmark × rate) design space one sweep covers.
 /// Canonical cell order is estimator-major, then benchmark, then rate
-/// — the order [`cell_specs`] submits and every output reports in.
+/// — the order [`batch_specs`] submits and every output reports in.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Grid {
     /// Estimator names (see [`ESTIMATORS`]).
@@ -193,7 +191,7 @@ pub fn cell_seed(seed: u64, bench: &str, estimator: &str, rate_idx: usize) -> u6
 /// Canonical checkpoint/queue key for one sweep cell. The campaign
 /// seed is part of the key so resuming (or a distributed queue) with a
 /// different `--seed` recomputes instead of serving another campaign's
-/// checkpoints. Shared by [`cell_specs`] and the
+/// checkpoints. Shared by [`batch_specs`] and the
 /// [`distrib`](crate::distrib) queue so a worker's checkpoint files
 /// and the coordinator's result files always agree on names.
 #[must_use]
@@ -245,7 +243,7 @@ fn estimator_by_name(name: &str) -> Box<dyn perconf_core::FaultableEstimator> {
     }
 }
 
-/// Computes one sweep cell (exposed for the driver's tests).
+/// Computes one sweep cell: a width-1 batch of `run_cells_batched`.
 ///
 /// The pipeline-IPC leg of the cell snapshots the full simulation into
 /// `cell` every ~50k retired uops, so a cell killed mid-pipeline-run
@@ -261,73 +259,20 @@ pub fn run_cell(
     scale: Scale,
     cell: &CheckpointCell,
 ) -> FaultCell {
-    let wl = perconf_workload::spec2000_config(bench).expect("known benchmark");
-    // The predictor takes both persistent table upsets and transient
-    // history-latch strikes at the same rate; without the latter, big
-    // retrained tables absorb flips almost for free and the machine-
-    // level effect vanishes. The estimator takes table upsets only so
-    // its PVN/Spec shifts are attributable to its own state.
-    let cfg_p = FaultConfig {
-        rate,
-        history_rate: rate,
-        seed: seed ^ 0x11,
-    };
-    let cfg_e = FaultConfig::state_only(rate, seed ^ 0x22);
-
-    // Trace-level confidence metrics.
-    let mut p = FaultyPredictor::new(baseline_bimodal_gshare(), &cfg_p);
-    let mut e = FaultyEstimator::new(estimator_by_name(estimator), &cfg_e);
-    let (cm, _) = trace_eval(
-        &wl,
-        &mut p,
-        &mut e,
-        scale.warmup_branches,
-        scale.run_branches,
-        None,
-    );
-    // The pipeline controller consumes its wrappers, so the reported
-    // injection counts cover the trace-level pass only.
-    let faults_predictor = p.injected();
-    let faults_estimator = e.injected();
-
-    // Pipeline IPC with both structures faulted (gated deep machine,
-    // the configuration the estimator actually protects). The faulted
-    // controller snapshots like a clean one — the fault plan's RNG
-    // cursor rides along — so resuming replays the same upsets.
-    let mk_ctl = || {
-        SpeculationController::new(
-            Box::new(FaultyPredictor::new(baseline_bimodal_gshare(), &cfg_p))
-                as Box<dyn SimPredictor>,
-            Box::new(FaultyEstimator::new(estimator_by_name(estimator), &cfg_e))
-                as Box<dyn SimEstimator>,
-        )
-    };
-    let (stats, counters) = match run_pipeline_checkpointed(
-        &wl,
-        PipelineConfig::deep().gated(1),
-        mk_ctl,
-        scale,
-        cell,
-        50_000,
-    ) {
-        Ok(sim) => (sim.stats().clone(), sim.counters()),
-        // A SimError is an invariant failure; surface it as the panic
-        // the runner's catch_unwind already turns into a typed error.
-        Err(e) => panic!("{e}"),
-    };
-
-    FaultCell {
-        benchmark: bench.to_owned(),
+    let coord = CellCoord {
+        bench: bench.to_owned(),
         estimator: estimator.to_owned(),
         rate,
-        pvn: cm.pvn() * 100.0,
-        spec: cm.spec() * 100.0,
-        miss_rate: cm.misprediction_rate() * 100.0,
-        ipc: stats.ipc(),
-        faults_predictor,
-        faults_estimator,
-        counters,
-    }
+        seed,
+    };
+    run_cells_batched(
+        std::slice::from_ref(&coord),
+        &[0],
+        std::slice::from_ref(cell),
+        scale,
+    )
+    .pop()
+    .expect("one cell in, one result out")
 }
 
 /// One sweep-cell coordinate, resolved from the grid: everything
@@ -340,12 +285,12 @@ struct CellCoord {
     seed: u64,
 }
 
-/// Computes a group of sweep cells with their pipeline legs
-/// interleaved through one batched cycle loop
-/// ([`run_pipeline_checkpointed_batch`]). The trace-level passes stay
-/// sequential per member (they are cheap); only the dominant pipeline
-/// leg batches. Per-member results, checkpoint bytes, and counters
-/// are byte-identical to [`run_cell`] on the same coordinates.
+/// Computes a group of sweep cells. Each cell is evaluated twice: a
+/// trace-level pass for the confidence metrics, sequential per member
+/// (they are cheap), then the dominant pipeline-IPC leg, interleaved
+/// through one batched cycle loop ([`run_pipeline_checkpointed_batch`]).
+/// A cell's results, checkpoint bytes, and counters depend only on its
+/// own coordinates, never on the group it ran in.
 ///
 /// `idxs` selects which members of `coords` to compute (the batch
 /// engine skips members served from final checkpoints); returns one
@@ -357,6 +302,8 @@ fn run_cells_batched(
     scale: Scale,
 ) -> Vec<FaultCell> {
     // Trace-level legs plus per-member fault configs, sequentially.
+    // The pipeline controller consumes its wrappers, so the reported
+    // injection counts cover the trace-level pass only.
     struct TraceLeg {
         wl: perconf_workload::WorkloadConfig,
         cfg_p: FaultConfig,
@@ -370,6 +317,12 @@ fn run_cells_batched(
         .map(|&i| {
             let c = &coords[i];
             let wl = perconf_workload::spec2000_config(&c.bench).expect("known benchmark");
+            // The predictor takes both persistent table upsets and
+            // transient history-latch strikes at the same rate; without
+            // the latter, big retrained tables absorb flips almost for
+            // free and the machine-level effect vanishes. The estimator
+            // takes table upsets only so its PVN/Spec shifts are
+            // attributable to its own state.
             let cfg_p = FaultConfig {
                 rate: c.rate,
                 history_rate: c.rate,
@@ -397,8 +350,10 @@ fn run_cells_batched(
             }
         })
         .collect();
-    // The batched pipeline leg: same controller factory, pipeline
-    // config, and 50k-uop checkpoint interval as `run_cell`.
+    // The pipeline leg with both structures faulted, on the gated deep
+    // machine (the configuration the estimator actually protects). The
+    // faulted controller snapshots like a clean one — the fault plan's
+    // RNG cursor rides along — so resuming replays the same upsets.
     let members: Vec<BatchMember<'_>> = idxs
         .iter()
         .zip(&legs)
@@ -431,7 +386,7 @@ fn run_cells_batched(
                 Ok(sim) => sim,
                 // A SimError is an invariant failure; surface it as
                 // the panic the runner's catch_unwind already turns
-                // into a typed error (same contract as `run_cell`).
+                // into a typed error.
                 Err(e) => panic!("{e}"),
             };
             FaultCell {
@@ -452,8 +407,7 @@ fn run_cells_batched(
 
 /// Builds the sweep's batch groups: the canonical grid order chunked
 /// into groups of `width` cells whose pipeline legs run interleaved.
-/// `width = 1` degenerates to one group per cell — the exact
-/// [`cell_specs`] work, through the same engine.
+/// `width = 1` degenerates to one group per cell.
 ///
 /// Grouping never changes output: member keys, seeds, checkpoint
 /// artifacts, and results are all per cell, and the merged report
@@ -495,9 +449,12 @@ pub fn batch_specs(
     specs
 }
 
-/// [`run_grid`] with the cells' pipeline legs interleaved `width` at a
-/// time through one batched cycle loop per group. Output is
-/// byte-identical to [`run_grid`] for every width — the differential
+/// Runs the resilience sweep through `scheduler`, the cells' pipeline
+/// legs interleaved `width` at a time through one batched cycle loop
+/// per group, the groups fanned across the scheduler's worker threads.
+/// Returns the deterministically merged table plus the (wall-clock,
+/// hence nondeterministic) per-cell timing rows. Output is
+/// byte-identical for every width and job count — the differential
 /// suite in `tests/batch_determinism.rs` pins this.
 #[must_use]
 pub fn run_grid_batched(
@@ -520,60 +477,13 @@ pub fn run_grid_batched(
     (table_from_cells(seed, grid, cells, failed), timings)
 }
 
-/// Builds the sweep's cell list in canonical grid order, ready for a
-/// [`Scheduler`]. Exposed so tests can run arbitrary prefixes (the
-/// moral equivalent of a sweep killed mid-way) through the same code
-/// path the binaries use.
-#[must_use]
-pub fn cell_specs(scale: Scale, seed: u64, grid: &Grid) -> Vec<CellSpec<FaultCell>> {
-    let mut specs = Vec::with_capacity(grid.cell_count());
-    for est in &grid.estimators {
-        for bench in &grid.benchmarks {
-            for (ri, &rate) in grid.rates.iter().enumerate() {
-                let key = cell_key(seed, est, bench, ri);
-                let cs = cell_seed(seed, bench, est, ri);
-                let (b, e) = (bench.clone(), est.clone());
-                specs.push(CellSpec::new(key, move |chk: &CheckpointCell| {
-                    run_cell(&b, &e, rate, cs, scale, chk)
-                }));
-            }
-        }
-    }
-    specs
-}
-
-/// Runs the resilience sweep, one scheduler cell per
-/// (estimator × benchmark × rate) point, fanned across the
-/// scheduler's worker threads. Returns the deterministically merged
-/// table plus the (wall-clock, hence nondeterministic) per-cell
-/// timing rows.
-#[must_use]
-pub fn run_grid(
-    scale: Scale,
-    seed: u64,
-    grid: &Grid,
-    scheduler: &mut Scheduler,
-) -> (FaultTable, Vec<CellTiming>) {
-    let report = scheduler.run_cells(cell_specs(scale, seed, grid));
-    let timings = report.timings();
-    let mut cells = Vec::new();
-    let mut failed = Vec::new();
-    for r in report.cells {
-        match r.outcome {
-            Ok(c) => cells.push(c),
-            Err(_) => failed.push(r.key),
-        }
-    }
-    (table_from_cells(seed, grid, cells, failed), timings)
-}
-
 /// Assembles the deterministic sweep output from completed cells —
-/// the aggregation/merge half of [`run_grid`], split out so the
+/// the aggregation/merge half of [`run_grid_batched`], split out so the
 /// distributed coordinator ([`crate::distrib`]) can feed it cells
 /// gathered from per-worker result files. Callers must pass `cells`
 /// in canonical grid order (estimator-major, then benchmark, then
-/// rate); both `run_grid` and the distributed merge do, which is why
-/// their outputs are byte-identical.
+/// rate); both `run_grid_batched` and the distributed merge do, which
+/// is why their outputs are byte-identical.
 #[must_use]
 pub fn table_from_cells(
     seed: u64,

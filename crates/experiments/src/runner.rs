@@ -16,14 +16,15 @@
 //! [`Scheduler`] fans a whole cell list out across a bounded pool of
 //! worker threads (`--jobs` in the binaries) while keeping the exact
 //! per-cell semantics above — both frontends share one cell-execution
-//! engine ([`execute_cell`]). Its determinism contract: the merged
-//! [`SweepReport`] lists cells in **submission (canonical) order**
-//! regardless of worker count or completion order, per-cell checkpoint
-//! files depend only on the cell key, and nothing a cell computes may
-//! depend on scheduling (derive per-cell RNG seeds from the cell
-//! coordinates, never from execution order). Wall-clock timings are
-//! the one intentionally nondeterministic output and live in the
-//! separate [`CellTiming`] report.
+//! engine ([`execute_batch`]; a single cell is a width-1 batch). Its
+//! determinism contract: the merged [`SweepReport`] lists cells in
+//! **submission (canonical) order** regardless of worker count or
+//! completion order, per-cell checkpoint files depend only on the cell
+//! key, and nothing a cell computes may depend on scheduling (derive
+//! per-cell RNG seeds from the cell coordinates, never from execution
+//! order). Wall-clock timings are the one intentionally
+//! nondeterministic output and live in the separate [`CellTiming`]
+//! report.
 
 use crate::snapfile;
 use serde::{Deserialize, DeserializeOwned, Serialize, Value};
@@ -267,10 +268,6 @@ impl CheckpointCell {
 /// bounding the number of live stray threads.
 type Zombies = Arc<Mutex<Vec<thread::JoinHandle<()>>>>;
 
-/// A sweep cell's work function: receives its mid-run checkpoint
-/// handle, returns the cell result.
-type WorkFn<T> = Arc<dyn Fn(&CheckpointCell) -> T + Send + Sync>;
-
 /// Work function of a [`BatchSpec`]: receives the indices of the
 /// members that still need computing plus every member's checkpoint
 /// cell, and returns one value per requested index, in order.
@@ -373,41 +370,14 @@ pub struct CellTiming {
     pub error_kind: Option<String>,
 }
 
-/// The shared per-cell engine: final-checkpoint resume, failure-marker
-/// clearing, mid-cell checkpoint wiring, panic-isolated watchdogged
-/// attempts with exponential backoff, checkpoint/marker persistence.
-/// Both [`Runner::run_cell_resumable`] and [`Scheduler::run_cells`]
-/// funnel through here, so the two frontends cannot drift.
-fn execute_cell<T>(
-    cfg: &RunnerConfig,
-    zombies: &Zombies,
-    key: &str,
-    work: WorkFn<T>,
-) -> CellReport<T>
-where
-    T: Serialize + DeserializeOwned + Send + 'static,
-{
-    // A single cell is exactly a width-1 batch; keeping one engine
-    // means resume/retry/marker semantics cannot drift between the
-    // sequential and batched paths.
-    let spec = BatchSpec {
-        keys: vec![key.to_owned()],
-        work: Arc::new(move |pending: &[usize], cells: &[CheckpointCell]| {
-            debug_assert_eq!(pending, [0]);
-            vec![work(&cells[0])]
-        }),
-    };
-    execute_batch(cfg, zombies, &spec)
-        .pop()
-        .expect("width-1 batch yields exactly one report")
-}
-
-/// Runs one batch group through the shared cell-execution engine:
-/// per-member final-checkpoint resume and failure markers, one
-/// watchdog + retry budget around the grouped work function.
+/// The shared cell-execution engine, run on one batch group (a single
+/// cell is a width-1 group): per-member final-checkpoint resume and
+/// failure markers, mid-cell checkpoint wiring, one panic-isolated
+/// watchdogged attempt loop with exponential backoff around the
+/// grouped work function. [`Runner`] and both [`Scheduler`] entry
+/// points funnel through here, so their semantics cannot drift.
 ///
-/// Per-member semantics match [`execute_cell`] exactly (which *is*
-/// the width-1 case): members whose final checkpoint exists resume
+/// Per member: members whose final checkpoint exists resume
 /// without running; stale failure markers clear; a pre-existing
 /// partial checkpoint records `resumed_mid_cell` without counting as
 /// a retry. The remaining members execute together in one attempt
@@ -891,7 +861,9 @@ impl Runner {
         T: Serialize + DeserializeOwned + Send + 'static,
         F: Fn(&CheckpointCell) -> T + Send + Sync + 'static,
     {
-        let report = execute_cell(&self.cfg, &self.zombies, key, Arc::new(work) as WorkFn<T>);
+        let report = execute_batch(&self.cfg, &self.zombies, &CellSpec::new(key, work).0)
+            .pop()
+            .expect("width-1 batch yields exactly one report");
         self.executed += u64::from(report.attempts);
         if report.resumed {
             self.resumed += 1;
@@ -904,11 +876,10 @@ impl Runner {
 }
 
 /// A sweep cell prepared for the [`Scheduler`]: a key plus the work
-/// function, submitted in canonical order.
-pub struct CellSpec<T> {
-    key: String,
-    work: WorkFn<T>,
-}
+/// function, submitted in canonical order. It is a width-1
+/// [`BatchSpec`].
+#[derive(Debug)]
+pub struct CellSpec<T>(BatchSpec<T>);
 
 impl<T> CellSpec<T> {
     /// Packages a cell. `work` receives the cell's [`CheckpointCell`]
@@ -918,22 +889,16 @@ impl<T> CellSpec<T> {
     where
         F: Fn(&CheckpointCell) -> T + Send + Sync + 'static,
     {
-        Self {
-            key: key.into(),
-            work: Arc::new(work),
-        }
+        Self(BatchSpec::new(vec![key.into()], move |pending, cells| {
+            debug_assert_eq!(pending, [0]);
+            vec![work(&cells[0])]
+        }))
     }
 
     /// The cell key.
     #[must_use]
     pub fn key(&self) -> &str {
-        &self.key
-    }
-}
-
-impl<T> std::fmt::Debug for CellSpec<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CellSpec").field("key", &self.key).finish()
+        &self.0.keys[0]
     }
 }
 
@@ -944,7 +909,7 @@ impl<T> std::fmt::Debug for CellSpec<T> {
 /// Resume/retry/marker semantics stay per member — see
 /// `execute_batch` — so the on-disk artifacts (final checkpoints,
 /// partials, failure markers) and the merged report are byte-identical
-/// to running the same cells through [`CellSpec`]s individually.
+/// to running the same cells through [`CellSpec`]s (width-1 groups).
 pub struct BatchSpec<T> {
     keys: Vec<String>,
     work: BatchWorkFn<T>,
@@ -1074,10 +1039,11 @@ impl<T> SweepReport<T> {
 
 /// Bounded-concurrency parallel sweep scheduler.
 ///
-/// Fans a canonical list of [`CellSpec`]s out across
-/// [`jobs`](Self::jobs) coordinator threads pulling from a shared
-/// atomic work queue. Each coordinator runs its claimed cell through
-/// the same engine as [`Runner`] — per-cell watchdog, panic isolation
+/// Fans a canonical list of [`BatchSpec`]s (or [`CellSpec`]s, which are
+/// width-1 batches) out across [`jobs`](Self::jobs) coordinator threads
+/// pulling from a shared atomic work queue. Each coordinator runs its
+/// claimed group through the same engine as [`Runner`] — per-cell
+/// watchdog, panic isolation
 /// via a separate attempt thread, bounded retry with backoff, final
 /// and mid-run ([`CheckpointCell`]) checkpoints — so `--jobs N` never
 /// changes failure semantics, only wall-clock time.
@@ -1125,53 +1091,25 @@ impl Scheduler {
         reap_zombie_list(&self.zombies)
     }
 
-    /// Runs every cell and returns the deterministically merged
-    /// report. Blocks until all coordinator threads have drained the
-    /// queue and joined; only watchdog-abandoned attempt threads can
-    /// outlive this call (tracked via [`zombie_count`](Self::zombie_count)).
+    /// Runs every cell, each as a width-1 batch group through
+    /// [`run_batches`](Self::run_batches), and returns the merged
+    /// report in submission order.
     pub fn run_cells<T>(&mut self, cells: Vec<CellSpec<T>>) -> SweepReport<T>
     where
         T: Serialize + DeserializeOwned + Send + 'static,
     {
-        let n = cells.len();
-        let workers = self.jobs().clamp(1, n.max(1));
-        let slots: Vec<Mutex<Option<CellReport<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let cfg = &self.cfg.runner;
-        let (cells_ref, slots_ref, next_ref) = (&cells, &slots, &next);
-        thread::scope(|s| {
-            for _ in 0..workers {
-                let zombies = Arc::clone(&self.zombies);
-                s.spawn(move || loop {
-                    let i = next_ref.fetch_add(1, Ordering::SeqCst);
-                    if i >= n {
-                        break;
-                    }
-                    let spec = &cells_ref[i];
-                    let report = execute_cell(cfg, &zombies, &spec.key, Arc::clone(&spec.work));
-                    *slots_ref[i].lock().expect("result slot lock") = Some(report);
-                });
-            }
-        });
-        SweepReport {
-            cells: slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("result slot lock")
-                        .expect("every submitted cell reports exactly once")
-                })
-                .collect(),
-        }
+        self.run_batches(cells.into_iter().map(|c| c.0).collect())
     }
 
     /// Runs every batch group and returns the deterministically merged
     /// report, one [`CellReport`] per member cell, flattened in
-    /// submission order (group by group, member by member). The same
-    /// determinism contract as [`run_cells`](Self::run_cells) applies:
-    /// the merged report is byte-stable across `jobs`, batch widths,
-    /// and mid-sweep kills + resumes, because every on-disk artifact
-    /// and result slot is keyed per member cell, never per group.
+    /// submission order (group by group, member by member). Blocks
+    /// until all coordinator threads have drained the queue and joined;
+    /// only watchdog-abandoned attempt threads can outlive this call
+    /// (tracked via [`zombie_count`](Self::zombie_count)). The merged
+    /// report is byte-stable across `jobs`, batch widths, and mid-sweep
+    /// kills + resumes, because every on-disk artifact and result slot
+    /// is keyed per member cell, never per group.
     pub fn run_batches<T>(&mut self, batches: Vec<BatchSpec<T>>) -> SweepReport<T>
     where
         T: Serialize + DeserializeOwned + Send + 'static,

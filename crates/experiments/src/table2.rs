@@ -3,7 +3,9 @@
 //! (and fetched) due to branch mispredictions on the 20-cycle 4-wide,
 //! 20-cycle 8-wide and 40-cycle 4-wide pipelines.
 
-use crate::common::{run_pipeline, run_pipeline_checkpointed, PredictorKind, Scale};
+use crate::common::{
+    run_pipeline, run_pipeline_checkpointed_batch, BatchMember, PredictorKind, Scale,
+};
 use crate::paper;
 use crate::runner::{CellSpec, CellTiming, CheckpointCell, Scheduler};
 use perconf_core::{AlwaysHigh, SpeculationController};
@@ -129,13 +131,20 @@ pub fn cell_key(bench: &str, shape: usize) -> String {
 pub fn run_shape_cell(bench: &str, shape: usize, scale: Scale, cell: &CheckpointCell) -> ShapeCell {
     let wl = perconf_workload::spec2000_config(bench).expect("known benchmark");
     let (_, cfg) = shapes()[shape];
-    let mk_ctl = || {
-        SpeculationController::new(
-            PredictorKind::BimodalGshare.build(),
-            Box::new(AlwaysHigh) as Box<dyn perconf_core::SimEstimator>,
-        )
+    let member = BatchMember {
+        wl: &wl,
+        mk_ctl: Box::new(|| {
+            SpeculationController::new(
+                PredictorKind::BimodalGshare.build(),
+                Box::new(AlwaysHigh) as Box<dyn perconf_core::SimEstimator>,
+            )
+        }),
+        cell,
     };
-    let s = match run_pipeline_checkpointed(&wl, cfg, mk_ctl, scale, cell, 50_000) {
+    let result = run_pipeline_checkpointed_batch(std::slice::from_ref(&member), cfg, scale, 50_000)
+        .pop()
+        .expect("one member in, one result out");
+    let s = match result {
         Ok(sim) => sim.stats().clone(),
         // A SimError is an invariant failure; surface it as the panic
         // the runner's catch_unwind turns into a typed error.

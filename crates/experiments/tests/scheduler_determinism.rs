@@ -64,21 +64,22 @@ fn sweep_is_byte_identical_across_job_counts_and_resume() {
     let g = grid();
 
     // Reference: sequential, no persistence.
-    let (seq, _) = faults::run_grid(Scale::tiny(), SEED, &g, &mut scheduler(1, None));
+    let (seq, _) = faults::run_grid_batched(Scale::tiny(), SEED, &g, &mut scheduler(1, None), 1);
     assert_eq!(seq.cells.len(), g.cell_count());
     assert!(seq.failed.is_empty());
 
     // Same sweep on four workers must be byte-identical.
-    let (par, timings) = faults::run_grid(Scale::tiny(), SEED, &g, &mut scheduler(4, None));
+    let (par, timings) =
+        faults::run_grid_batched(Scale::tiny(), SEED, &g, &mut scheduler(4, None), 1);
     assert_eq!(bytes(&seq), bytes(&par), "--jobs 4 diverged from --jobs 1");
 
     // Timing rows come back in canonical submission order too (only
     // their wall-clock field is nondeterministic, and it lives outside
     // the diffed outputs).
     let keys: Vec<&str> = timings.iter().map(|t| t.key.as_str()).collect();
-    let expected: Vec<String> = faults::cell_specs(Scale::tiny(), SEED, &g)
+    let expected: Vec<String> = faults::batch_specs(Scale::tiny(), SEED, &g, 1)
         .iter()
-        .map(|s| s.key().to_owned())
+        .flat_map(|s| s.keys().to_vec())
         .collect();
     assert_eq!(
         keys,
@@ -90,15 +91,16 @@ fn sweep_is_byte_identical_across_job_counts_and_resume() {
     // after two cells finished), then resume the full sweep. The
     // merged output must still be byte-identical to the straight run.
     let dir = fresh_dir("resume");
-    let prefix: Vec<_> = faults::cell_specs(Scale::tiny(), SEED, &g)
+    let prefix: Vec<_> = faults::batch_specs(Scale::tiny(), SEED, &g, 1)
         .into_iter()
         .take(2)
         .collect();
-    let partial = scheduler(4, Some(&dir)).run_cells(prefix);
+    let partial = scheduler(4, Some(&dir)).run_batches(prefix);
     assert_eq!(partial.executed(), 2);
     assert!(partial.failures().is_empty());
 
-    let (resumed, _) = faults::run_grid(Scale::tiny(), SEED, &g, &mut scheduler(4, Some(&dir)));
+    let (resumed, _) =
+        faults::run_grid_batched(Scale::tiny(), SEED, &g, &mut scheduler(4, Some(&dir)), 1);
     assert_eq!(
         bytes(&seq),
         bytes(&resumed),

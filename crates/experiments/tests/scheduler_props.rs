@@ -218,7 +218,8 @@ fn per_cell_counters_merge_deterministically_across_jobs_and_resume() {
     const SEED: u64 = 23;
     let g = counter_grid();
 
-    let (seq, _) = faults::run_grid(Scale::tiny(), SEED, &g, &mut sweep_scheduler(1, None));
+    let (seq, _) =
+        faults::run_grid_batched(Scale::tiny(), SEED, &g, &mut sweep_scheduler(1, None), 1);
     assert!(seq.failed.is_empty());
     // The merged snapshot is non-trivial and carries real sim work.
     assert!(seq.counters.get("rob", "retired").unwrap_or(0) > 0);
@@ -227,7 +228,8 @@ fn per_cell_counters_merge_deterministically_across_jobs_and_resume() {
     // Four workers: per-cell snapshots and the merged snapshot must be
     // identical to the sequential run — merge order is submission
     // order, never completion order.
-    let (par, _) = faults::run_grid(Scale::tiny(), SEED, &g, &mut sweep_scheduler(4, None));
+    let (par, _) =
+        faults::run_grid_batched(Scale::tiny(), SEED, &g, &mut sweep_scheduler(4, None), 1);
     for (a, b) in seq.cells.iter().zip(&par.cells) {
         assert_eq!(
             a.counters, b.counters,
@@ -247,15 +249,20 @@ fn per_cell_counters_merge_deterministically_across_jobs_and_resume() {
     // ones.
     let dir = std::env::temp_dir().join(format!("perconf-props-counters-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let prefix: Vec<_> = faults::cell_specs(Scale::tiny(), SEED, &g)
+    let prefix: Vec<_> = faults::batch_specs(Scale::tiny(), SEED, &g, 1)
         .into_iter()
         .take(2)
         .collect();
-    let partial = sweep_scheduler(4, Some(&dir)).run_cells(prefix);
+    let partial = sweep_scheduler(4, Some(&dir)).run_batches(prefix);
     assert!(partial.failures().is_empty());
 
-    let (resumed, _) =
-        faults::run_grid(Scale::tiny(), SEED, &g, &mut sweep_scheduler(4, Some(&dir)));
+    let (resumed, _) = faults::run_grid_batched(
+        Scale::tiny(),
+        SEED,
+        &g,
+        &mut sweep_scheduler(4, Some(&dir)),
+        1,
+    );
     assert_eq!(
         seq.counters, resumed.counters,
         "killed+resumed sweep reported different merged counters"
@@ -270,13 +277,15 @@ fn tracing_and_profiling_do_not_change_sweep_results() {
     let bytes = |t: &faults::FaultTable| serde_json::to_string_pretty(t).expect("serialize");
 
     // Plain run with the whole observability stack quiet.
-    let (off, _) = faults::run_grid(Scale::tiny(), SEED, &g, &mut sweep_scheduler(2, None));
+    let (off, _) =
+        faults::run_grid_batched(Scale::tiny(), SEED, &g, &mut sweep_scheduler(2, None), 1);
 
     // Same sweep with event tracing and profiling live. Both are
     // derived outputs: the diffable result must stay byte-identical.
     common::tracer().set_level(TraceLevel::Verbose);
     common::profiler().enable(true);
-    let (on, _) = faults::run_grid(Scale::tiny(), SEED, &g, &mut sweep_scheduler(2, None));
+    let (on, _) =
+        faults::run_grid_batched(Scale::tiny(), SEED, &g, &mut sweep_scheduler(2, None), 1);
     common::profiler().enable(false);
     common::tracer().set_level(TraceLevel::Off);
     let (events, _dropped) = common::tracer().drain();

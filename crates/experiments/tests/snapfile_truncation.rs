@@ -13,6 +13,19 @@ use perconf_experiments::runner::{degraded_count, Runner, RunnerConfig};
 use perconf_experiments::snapfile::{self, SnapfileError};
 use serde::Value;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// `degraded_count` is process-wide and the harness runs tests in
+/// parallel, so the tests that compare it before and after a run hold
+/// this lock: otherwise one test's discarded checkpoint lands in the
+/// other's window.
+static DEGRADED_COUNTER: Mutex<()> = Mutex::new(());
+
+fn degraded_counter_lock() -> MutexGuard<'static, ()> {
+    DEGRADED_COUNTER
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("perconf-trunc-{tag}-{}", std::process::id()));
@@ -23,6 +36,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn kill_between_temp_write_and_rename_recomputes_cleanly() {
+    let _serial = degraded_counter_lock();
     let dir = fresh_dir("tmp-orphan");
     let cfg = RunnerConfig::resuming(&dir);
     let mut runner = Runner::new(cfg);
@@ -64,6 +78,7 @@ fn kill_between_temp_write_and_rename_recomputes_cleanly() {
 
 #[test]
 fn torn_final_name_is_reported_as_truncation_not_corruption() {
+    let _serial = degraded_counter_lock();
     let dir = fresh_dir("torn-final");
     let cfg = RunnerConfig::resuming(&dir);
     let mut runner = Runner::new(cfg);

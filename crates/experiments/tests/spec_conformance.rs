@@ -244,13 +244,13 @@ fn random_grid_specs_lower_to_the_same_cells_as_code_built_grids() {
 
         // The contract that matters downstream: identical scheduler
         // cells, key for key, in the canonical order.
-        let spec_keys: Vec<String> = faults::cell_specs(scale, lowered_seed, &grid)
+        let spec_keys: Vec<String> = faults::batch_specs(scale, lowered_seed, &grid, 1)
             .iter()
-            .map(|c| c.key().to_owned())
+            .flat_map(|c| c.keys().to_vec())
             .collect();
-        let code_keys: Vec<String> = faults::cell_specs(scale_code, seed, &code_grid)
+        let code_keys: Vec<String> = faults::batch_specs(scale_code, seed, &code_grid, 1)
             .iter()
-            .map(|c| c.key().to_owned())
+            .flat_map(|c| c.keys().to_vec())
             .collect();
         assert_eq!(spec_keys, code_keys, "round {round}:\n{doc}");
         assert_eq!(spec_keys.len(), code_grid.cell_count(), "round {round}");

@@ -14,15 +14,19 @@ pub const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Writes one message as a JSON line and flushes it.
 ///
+/// The body and its newline go out in one `write_all`: on a socket
+/// without `TCP_NODELAY`, a second small write waits for the peer's
+/// delayed ACK, adding tens of milliseconds to every round trip.
+///
 /// # Errors
 ///
 /// Propagates I/O errors; serialisation failures surface as
 /// `InvalidData`.
 pub fn write_msg<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
-    let body = serde_json::to_string(msg)
+    let mut line = serde_json::to_string(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    w.write_all(body.as_bytes())?;
-    w.write_all(b"\n")?;
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     w.flush()
 }
 
@@ -97,6 +101,35 @@ mod tests {
             Some(Request::Stats)
         );
         assert_eq!(read_msg::<_, Request>(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn each_message_is_one_write() {
+        // Counts `write` calls; each accepts the whole buffer, so a
+        // message framed in one `write_all` shows up as exactly one.
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_msg(&mut w, &Request::Ping).unwrap();
+        assert_eq!(w.writes, 1);
+        write_msg(&mut w, &Request::Stats).unwrap();
+        assert_eq!(w.writes, 2);
+        assert_eq!(w.bytes, b"\"Ping\"\n\"Stats\"\n");
     }
 
     #[test]

@@ -51,7 +51,13 @@ fn one_shot_reference(seed: u64) -> String {
         },
         jobs: 2,
     });
-    let (t, _) = faults::run_grid(Scale::tiny(), seed, &faults::Grid::small(), &mut scheduler);
+    let (t, _) = faults::run_grid_batched(
+        Scale::tiny(),
+        seed,
+        &faults::Grid::small(),
+        &mut scheduler,
+        1,
+    );
     serde_json::to_string_pretty(&t).unwrap()
 }
 

@@ -298,8 +298,8 @@ fn pd(period: u32) -> BehaviorSpec {
 /// the paper's coverage numbers imply — with the remainder as
 /// irreducible noise on strongly biased branches.
 fn standard_mix(rate: f64, trip: u32, ph_stable: u32, pd_period: u32) -> BehaviorMix {
-    // Empirical per-class misprediction rates (measured via the
-    // calibrate example at 1.5M uops per benchmark).
+    // Empirical per-class misprediction rates (measured by trace-level
+    // runs of the baseline predictor at 1.5M uops per benchmark).
     const E_LIN: f64 = 0.10;
     const E_XOR: f64 = 0.22;
     const E_PD: f64 = 0.22;

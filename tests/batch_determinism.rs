@@ -2,29 +2,28 @@
 //!
 //! The batched cycle loop ([`BatchSim`] /
 //! `common::run_pipeline_checkpointed_batch` / the scheduler's
-//! `BatchSpec` path) promises byte-identical results to N sequential
-//! runs — for every batch width, with faults injected, with counters
-//! enabled, and across a kill + resume in either direction (a batch's
-//! mid-run checkpoint continued sequentially, a sequential checkpoint
-//! continued batched). These tests pin that contract at all three
-//! layers:
+//! `BatchSpec` path) promises byte-identical results to N plain
+//! sequential runs — for every batch width, with faults injected, with
+//! counters enabled, and across a kill + resume in either direction (a
+//! wide batch's mid-run checkpoint continued by a width-1 run, a
+//! sequential checkpoint continued batched). These tests pin that
+//! contract at all three layers:
 //!
 //! 1. engine level — widths {1, 2, 4, 7, 16} against per-member
-//!    sequential references, comparing serialized `.psnap` bytes and
-//!    `CounterSnapshot`s, not just summary stats;
-//! 2. checkpoint level — mid-batch kill with cross-path resume;
-//! 3. sweep level — `run_grid_batched` vs `run_grid` byte-identical
-//!    JSON + rendered table, including a batch-prefix kill + resume
-//!    and a batched sweep's checkpoints consumed by the sequential
-//!    scheduler path.
+//!    unchunked `Simulation::new → warmup → run` references (what
+//!    `common::run_pipeline` does), comparing serialized `.psnap` bytes
+//!    and `CounterSnapshot`s, not just summary stats;
+//! 2. checkpoint level — mid-batch kill with cross-width resume;
+//! 3. sweep level — `run_grid_batched` at widths 3 and 8 vs width 1
+//!    byte-identical JSON + rendered table, including a batch-prefix
+//!    kill + resume and a wide sweep's checkpoints consumed by a
+//!    width-1 sweep.
 
 use perconf_bpred::{baseline_bimodal_gshare, SimPredictor, Snapshot};
 use perconf_core::{
     JrsConfig, JrsEstimator, PerceptronCe, PerceptronCeConfig, SimEstimator, SpeculationController,
 };
-use perconf_experiments::common::{
-    run_pipeline_checkpointed, run_pipeline_checkpointed_batch, BatchMember, Scale,
-};
+use perconf_experiments::common::{run_pipeline_checkpointed_batch, BatchMember, Scale};
 use perconf_experiments::faults::{self, FaultTable, Grid};
 use perconf_experiments::runner::{CheckpointCell, RunnerConfig, Scheduler, SchedulerConfig};
 use perconf_experiments::snapfile;
@@ -68,6 +67,16 @@ fn member_ctl(i: usize) -> Controller {
     )
 }
 
+/// The reference a member must match: one plain, unchunked run with no
+/// checkpoints — what `common::run_pipeline` does — keeping the
+/// simulation for its snapshot bytes and counters.
+fn unchunked(wl: &WorkloadConfig, cfg: PipelineConfig, i: usize, scale: Scale) -> Simulation {
+    let mut sim = Simulation::new(cfg, wl, member_ctl(i));
+    sim.warmup(scale.warmup_uops);
+    sim.run(scale.run_uops);
+    sim
+}
+
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "perconf-batch-determinism-{tag}-{}",
@@ -100,15 +109,7 @@ fn batch_widths_match_sequential_psnap_and_counters() {
     // full counter snapshot per member.
     let mut refs = Vec::new();
     for (i, wl) in wls.iter().enumerate() {
-        let sim = run_pipeline_checkpointed(
-            wl,
-            cfg,
-            || member_ctl(i),
-            scale,
-            &CheckpointCell::disabled(),
-            INTERVAL,
-        )
-        .expect("sequential member");
+        let sim = unchunked(wl, cfg, i, scale);
         refs.push((
             sim.stats().clone(),
             psnap_bytes(&sim, &dir, &format!("seq-{i}")),
@@ -161,15 +162,7 @@ fn mid_batch_kill_resumes_across_batch_and_sequential_paths() {
     // Uninterrupted sequential references.
     let mut refs = Vec::new();
     for (i, wl) in wls.iter().enumerate() {
-        let sim = run_pipeline_checkpointed(
-            wl,
-            cfg,
-            || member_ctl(i),
-            scale,
-            &CheckpointCell::disabled(),
-            INTERVAL,
-        )
-        .expect("reference member");
+        let sim = unchunked(wl, cfg, i, scale);
         refs.push((sim.stats().clone(), sim.state_digest()));
     }
 
@@ -201,11 +194,20 @@ fn mid_batch_kill_resumes_across_batch_and_sequential_paths() {
     }
     drop(batch);
 
-    // ... and resumed *sequentially*: every member must land on the
-    // uninterrupted result, and clear its partial on completion.
+    // ... and resumed *sequentially*, one width-1 run per member: every
+    // member must land on the uninterrupted result, and clear its
+    // partial on completion.
     for (i, wl) in wls.iter().enumerate() {
-        let sim = run_pipeline_checkpointed(wl, cfg, || member_ctl(i), scale, &cells[i], INTERVAL)
-            .expect("sequential resume of batch-killed member");
+        let member = BatchMember {
+            wl,
+            mk_ctl: Box::new(move || member_ctl(i)),
+            cell: &cells[i],
+        };
+        let sim =
+            run_pipeline_checkpointed_batch(std::slice::from_ref(&member), cfg, scale, INTERVAL)
+                .pop()
+                .expect("one member in, one result out")
+                .expect("sequential resume of batch-killed member");
         assert_eq!(
             sim.stats(),
             &refs[i].0,
@@ -299,7 +301,7 @@ fn batched_sweep_byte_identical_and_resumes_after_kill() {
         rates: vec![0.0, 1e-2],
     };
 
-    let (seq, _) = faults::run_grid(Scale::tiny(), SEED, &g, &mut scheduler(1, None));
+    let (seq, _) = faults::run_grid_batched(Scale::tiny(), SEED, &g, &mut scheduler(1, None), 1);
     assert_eq!(seq.cells.len(), g.cell_count());
     assert!(seq.failed.is_empty());
 
@@ -334,9 +336,10 @@ fn batched_sweep_byte_identical_and_resumes_after_kill() {
         "resumed batched sweep diverged from the uninterrupted sequential one"
     );
 
-    // The batched sweep's final checkpoints now cover every cell; the
-    // *sequential* scheduler path must consume them unchanged.
-    let (cross, _) = faults::run_grid(Scale::tiny(), SEED, &g, &mut scheduler(1, Some(&dir)));
+    // The batched sweep's final checkpoints now cover every cell; a
+    // width-1 sweep on one worker must consume them unchanged.
+    let (cross, _) =
+        faults::run_grid_batched(Scale::tiny(), SEED, &g, &mut scheduler(1, Some(&dir)), 1);
     assert_eq!(
         bytes(&seq),
         bytes(&cross),

@@ -1,11 +1,13 @@
 //! Seeded property test for the batched cycle loop: random
 //! (batch width, fault plan, checkpoint interval) triples must leave
 //! every member's stats and state digest invariant between the batched
-//! and sequential checkpointed paths. Runs in the CI determinism lane.
+//! checkpointed path and a plain sequential run. Runs in the CI
+//! determinism lane.
 //!
 //! Each trial draws a width in 1..=8, a per-member fault plan (rate ×
 //! seed × benchmark × estimator kind), and a checkpoint interval, runs
-//! every member sequentially as the reference, then batched — with
+//! every member as one unchunked `Simulation::new → warmup → run`
+//! (what `common::run_pipeline` does) as the reference, then batched — with
 //! per-member checkpoint cells enabled so the trial also exercises the
 //! store path — and compares [`SimStats`] plus the FNV state digest.
 
@@ -13,12 +15,10 @@ use perconf_bpred::{baseline_bimodal_gshare, SimPredictor, Snapshot};
 use perconf_core::{
     JrsConfig, JrsEstimator, PerceptronCe, PerceptronCeConfig, SimEstimator, SpeculationController,
 };
-use perconf_experiments::common::{
-    run_pipeline_checkpointed, run_pipeline_checkpointed_batch, BatchMember, Scale,
-};
+use perconf_experiments::common::{run_pipeline_checkpointed_batch, BatchMember, Scale};
 use perconf_experiments::runner::CheckpointCell;
 use perconf_faults::{FaultConfig, FaultyEstimator, FaultyPredictor};
-use perconf_pipeline::{Controller, PipelineConfig};
+use perconf_pipeline::{Controller, PipelineConfig, Simulation};
 use perconf_workload::WorkloadConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -96,15 +96,10 @@ fn random_width_fault_plan_interval_triples_are_invariant() {
 
         let mut refs = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
-            let sim = run_pipeline_checkpointed(
-                &wls[i],
-                cfg,
-                || plan.ctl(),
-                scale,
-                &CheckpointCell::disabled(),
-                interval,
-            )
-            .unwrap_or_else(|e| panic!("trial {trial} member {i} sequential: {e:?}"));
+            let mut sim = Simulation::new(cfg, &wls[i], plan.ctl());
+            sim.try_warmup(scale.warmup_uops)
+                .and_then(|()| sim.try_run(scale.run_uops).map(|_| ()))
+                .unwrap_or_else(|e| panic!("trial {trial} member {i} sequential: {e:?}"));
             refs.push((sim.stats().clone(), sim.state_digest()));
         }
 
